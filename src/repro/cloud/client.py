@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 
 from repro.cloud.metrics import MetricsCollector, RequestKind, RequestRecord
-from repro.s3select.engine import ScanRange, SelectResult, execute_select
+from repro.s3select.engine import ScanRange, SelectResult, StatementMemo, execute_select
 from repro.s3select.validator import EXPRESSION_LIMIT_BYTES
 from repro.storage.object_store import ObjectStore
 
@@ -39,6 +39,7 @@ class S3Client:
         #: per matching *row* and row counts shrink with the dataset.
         self.range_request_weight: float = 1.0
         self._request_delay: float = 0.0
+        self._statements = StatementMemo()
 
     @property
     def request_delay(self) -> float:
@@ -51,6 +52,10 @@ class S3Client:
         if value < 0:
             raise ValueError(f"request_delay must be >= 0, got {value}")
         self._request_delay = value
+
+    def forget_statement(self) -> None:
+        """Start a new scan: no later request reuses an earlier parse."""
+        self._statements.last = None
 
     def _simulate_latency(self) -> None:
         if self.request_delay > 0:
@@ -149,6 +154,7 @@ class S3Client:
         result = execute_select(
             obj, sql, scan_range=scan_range, expression_limit=expression_limit,
             allow_group_by=allow_group_by, compress_output=compress_output,
+            memo=self._statements,
         )
         self.metrics.record(
             RequestRecord(

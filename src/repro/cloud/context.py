@@ -235,6 +235,7 @@ class CloudContext:
 
     def begin_query(self) -> int:
         """Mark the start of a query; returns a metrics position token."""
+        self.client.forget_statement()
         return self.metrics.mark()
 
     def finalize(

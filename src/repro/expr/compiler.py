@@ -13,6 +13,7 @@ clauses treat NULL as not-matching.  AND/OR use three-valued logic.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import Callable, Mapping
 
@@ -118,10 +119,10 @@ def _compile_unary(expr: ast.Unary, schema: dict[str, int]) -> RowFunc:
 
 
 _ARITH = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "%": lambda a, b: a % b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "%": operator.mod,
 }
 
 _COMPARE = {
@@ -397,11 +398,7 @@ def _compile_is_null(expr: ast.IsNull, schema: dict[str, int]) -> RowFunc:
 # ----------------------------------------------------------------------
 
 def _fn_substring(args: list[RowFunc]) -> RowFunc:
-    """SUBSTRING(str, start[, length]) with SQL 1-based positions.
-
-    Matches S3 Select semantics: a start before position 1 still counts
-    length from that virtual start.
-    """
+    """SUBSTRING(str, start[, length]) with SQL 1-based positions."""
     if len(args) not in (2, 3):
         raise UnsupportedFeatureError("SUBSTRING takes 2 or 3 arguments")
     text_fn, start_fn = args[0], args[1]
@@ -412,23 +409,34 @@ def _fn_substring(args: list[RowFunc]) -> RowFunc:
         start = start_fn(row)
         if text is None or start is None:
             return None
-        text = _to_str(text)
         start = int(start)
-        if length_fn is None:
-            begin = max(start - 1, 0)
-            return text[begin:]
-        length = length_fn(row)
-        if length is None:
-            return None
-        length = int(length)
-        if length < 0:
-            raise TypeMismatchError("SUBSTRING length must be non-negative")
-        end = start - 1 + length
-        begin = max(start - 1, 0)
-        if end <= begin:
-            return ""
-        return text[begin:end]
+        length = _WHOLE if length_fn is None else length_fn(row)
+        return _substring_value(text, start, length)
     return substring
+
+
+#: The ``length`` of 2-argument SUBSTRING: the rest of the string.
+_WHOLE = object()
+
+
+def _substring_value(text: object, start: int, length: object) -> object:
+    """SUBSTRING of non-NULL ``text`` from 1-based ``start``.
+
+    Matches S3 Select semantics: a start before position 1 still counts
+    length from that virtual start.  ``length`` is :data:`_WHOLE` for
+    the 2-argument form.
+    """
+    text = _to_str(text)
+    begin = max(start - 1, 0)
+    if length is _WHOLE:
+        return text[begin:]
+    if length is None:
+        return None
+    length = int(length)
+    if length < 0:
+        raise TypeMismatchError("SUBSTRING length must be non-negative")
+    end = start - 1 + length
+    return text[begin:end] if end > begin else ""
 
 
 def _simple_fn(py_fn: Callable, arity: int, name: str) -> Callable[[list[RowFunc]], RowFunc]:

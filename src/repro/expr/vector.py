@@ -9,10 +9,10 @@ folded once per batch.
 
 Two fallback layers keep the vector path exactly row-equivalent:
 
-* **per-node**: constructs without a kernel (CASE, scalar functions,
-  non-constant IN/LIKE) compile row-wise and are mapped over the batch,
-  so a single exotic sub-expression never forces the whole tree off the
-  fast path;
+* **per-node**: constructs without a kernel (CASE, scalar functions
+  other than SUBSTRING, non-constant IN/LIKE) compile row-wise and are
+  mapped over the batch, so a single exotic sub-expression never
+  forces the whole tree off the fast path;
 * **whole-expression**: vectorized AND/OR evaluate both sides over all
   rows, a superset of the row-wise short-circuit evaluation.  If that
   superset hits a :class:`TypeMismatchError` the row-wise compiler may
@@ -32,6 +32,7 @@ from repro.expr.compiler import (
     _ARITH,
     _CASTS,
     _COMPARE,
+    _WHOLE,
     _coerce_pair,
     _compile,
     _lower_schema,
@@ -39,6 +40,7 @@ from repro.expr.compiler import (
     _require_number,
     _to_str,
     like_to_regex,
+    _substring_value,
 )
 from repro.sqlparser import ast
 
@@ -282,7 +284,9 @@ def _compile_v(expr: ast.Expr, schema: dict[str, int]) -> _Node:
         if negated:
             return _Node(fn=lambda batch: [v is not None for v in operand.values(batch)])
         return _Node(fn=lambda batch: [v is None for v in operand.values(batch)])
-    # CASE, scalar functions, and anything new compile row-wise per batch.
+    if isinstance(expr, ast.FuncCall) and expr.name in ("SUBSTRING", "SUBSTR"):
+        return _compile_substring_v(expr, schema)
+    # CASE, other scalar functions, and anything new compile row-wise.
     return _row_fallback(expr, schema)
 
 
@@ -352,6 +356,13 @@ def _compile_logical_v(expr: ast.Binary, schema: dict[str, int]) -> _Node:
     return _Node(fn=disj)
 
 
+def _all_numbers(node: _Node, values: list) -> bool:
+    """No NULLs, bools or strings in ``values``: the kernels' fast path."""
+    if node.is_const:  # values is [const] * n; never fold over an empty batch
+        return bool(values) and type(node.const_value()) in _NUMBER_TYPES
+    return _NUMBER_TYPES.issuperset(map(type, values))
+
+
 def _arith_one(a: object, b: object, op: str, fn) -> object:
     _require_number(a, op)
     _require_number(b, op)
@@ -362,11 +373,14 @@ def _arith_kernel(op: str, left: _Node, right: _Node):
     fn = _ARITH[op]
 
     def arith(batch: Batch) -> list:
+        lefts, rights = left.values(batch), right.values(batch)
+        if _all_numbers(left, lefts) and _all_numbers(right, rights):
+            return list(map(fn, lefts, rights))
         return [
             None if a is None or b is None
             else fn(a, b) if type(a) in _NUMBER_TYPES and type(b) in _NUMBER_TYPES
             else _arith_one(a, b, op, fn)
-            for a, b in zip(left.values(batch), right.values(batch))
+            for a, b in zip(lefts, rights)
         ]
     return arith
 
@@ -462,10 +476,17 @@ def _compile_cast_v(expr: ast.Cast, schema: dict[str, int]) -> _Node:
         return _row_fallback(expr, schema)  # canonical unsupported-CAST error
     operand = _compile_v(expr.operand, schema)
     type_name = expr.type_name
+    numeric = {"INT": int, "FLOAT": float}.get(type_name)
 
     def cast(batch: Batch) -> list:
+        values = operand.values(batch)
+        if numeric is not None and _all_numbers(operand, values):
+            try:
+                return list(map(numeric, values))  # what the casters do to numbers
+            except ValueError:
+                pass  # int(NaN): the loop raises the canonical error
         out = []
-        for v in operand.values(batch):
+        for v in values:
             if v is None:
                 out.append(None)
                 continue
@@ -541,3 +562,38 @@ def _compile_like_v(expr: ast.Like, schema: dict[str, int]) -> _Node:
         None if v is None else match(_to_str(v)) is not None
         for v in operand.values(batch)
     ])
+
+
+def _compile_substring_v(expr: ast.FuncCall, schema: dict[str, int]) -> _Node:
+    """SUBSTRING kernel; the Bloom probe's constant bit string and
+    length take the one-slice-per-row path.  A start or length ``int()``
+    rejects raises :class:`TypeMismatchError`, so the batch re-runs
+    row-wise and raises the original error or skips the row."""
+    _compile(expr, schema)  # canonical arity error
+    text, start, *rest = [_compile_v(arg, schema) for arg in expr.args]
+    length = rest[0] if rest else None
+
+    def substring(batch: Batch) -> list:
+        n = len(batch)
+        if not n:
+            return []
+        starts = start.values(batch)
+        try:
+            if text.is_const and length is not None and length.is_const:
+                t, k = text.const_value(), length.const_value()
+                if type(t) is str and type(k) is int and k >= 0:
+                    return [
+                        t[s - 1 : s - 1 + k] if type(s) is int and s >= 1
+                        else None if s is None
+                        else _substring_value(t, int(s), k)
+                        for s in starts
+                    ]
+            lengths = [_WHOLE] * n if length is None else length.values(batch)
+            return [
+                None if t is None or s is None
+                else _substring_value(t, int(s), k)
+                for t, s, k in zip(text.values(batch), starts, lengths)
+            ]
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise TypeMismatchError(f"SUBSTRING argument: {exc}") from exc
+    return _Node(fn=substring)

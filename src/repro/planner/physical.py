@@ -108,8 +108,9 @@ def _counted(node: "PlanNode", batches: Iterable[Batch]) -> Iterator[Batch]:
     ``wall_seconds`` is the inclusive production time of the subtree
     (children wrapped in their own ``_counted`` subtract out as
     self-time in :func:`collect_operator_times`).  Nodes past a LIMIT
-    cut-off are never pulled and keep ``actual_rows``/``wall_seconds``
-    at ``None``.
+    cut-off are never pulled and keep ``actual_rows`` at ``None``, and
+    ``wall_seconds`` too unless they timed eager work (a scan's
+    requests).
     """
     node.actual_rows = 0
     if node.wall_seconds is None:
@@ -332,8 +333,16 @@ class ScanNode(PlanNode):
         return projection_sql(self.columns, " AND ".join(clauses) or None)
 
     def run(self, state: ExecState, bloom_keys: Sequence | None = None):
-        """Streaming scan: requests issue now, the phase finalizes at the
-        end of the pipeline so ingest reflects the rows actually pulled."""
+        """Streaming scan: requests issue now, timed on this node rather
+        than on the parent that opened the scan (a streamed hash join);
+        the phase finalizes at the end of the pipeline so ingest
+        reflects the rows actually pulled."""
+        start = perf_counter()
+        names, stream = self._open(state, bloom_keys)
+        _add_wall(self, perf_counter() - start)
+        return names, _counted(self, stream)
+
+    def _open(self, state: ExecState, bloom_keys: Sequence | None):
         ctx = state.ctx
         mark = ctx.metrics.mark()
         if not self.pushdown:
@@ -348,7 +357,7 @@ class ScanNode(PlanNode):
                     mark, self.phase_label, self.table.partitions,
                     counter, len(names),
                 )
-            return names, _counted(self, iter(counter))
+            return names, iter(counter)
         cache = self._cacheable(state, bloom_keys)
         if cache is not None:
             reuse = cache.lookup_scan(
@@ -361,10 +370,7 @@ class ScanNode(PlanNode):
                 state.phases.append(
                     phase_since(ctx, mark, self.phase_label, streams=1)
                 )
-                return (
-                    list(self.columns),
-                    _counted(self, self._replay(state, reuse)),
-                )
+                return list(self.columns), self._replay(state, reuse)
             self.cache_status = "miss"
         keep, streams = self._effective_partitions(ctx)
         counter = BatchCounter(
@@ -379,7 +385,7 @@ class ScanNode(PlanNode):
         stream: Iterator[Batch] = iter(counter)
         if cache is not None:
             stream = self._tee_cache(stream)
-        return list(self.columns), _counted(self, stream)
+        return list(self.columns), stream
 
     def run_materialized(
         self, state: ExecState, bloom_keys: Sequence | None = None

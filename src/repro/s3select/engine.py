@@ -17,6 +17,7 @@ Accounting mirrors AWS billing:
 
 from __future__ import annotations
 
+import codecs
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -37,7 +38,7 @@ from repro.storage.csvcodec import (
     chunk_rows,
     encode_row,
     iter_decode_column_batches,
-    iter_records_with_offsets,
+    iter_records,
 )
 from repro.storage.object_store import StoredObject
 from repro.storage.parquet import ParquetFile
@@ -71,6 +72,22 @@ class SelectResult:
     term_evals: int
 
 
+class StatementMemo:
+    """The last statement a client's requests parsed and validated.
+
+    A scan sends one SQL text to every partition back to back, so one
+    entry spares all but the first parse.  A statement that fails is
+    never kept, so it raises on every request.  ``last`` is replaced
+    whole and the AST is immutable, so threads share it without a lock:
+    a race costs at most an extra parse, never a stale one.
+    """
+
+    __slots__ = ("last",)
+
+    def __init__(self) -> None:
+        self.last: tuple[tuple, ast.Query] | None = None  # (key, query)
+
+
 def object_schema(obj: StoredObject) -> TableSchema:
     """Recover the table schema attached to an object at load time.
 
@@ -92,6 +109,7 @@ def execute_select(
     expression_limit: int = EXPRESSION_LIMIT_BYTES,
     allow_group_by: bool = False,
     compress_output: bool = False,
+    memo: StatementMemo | None = None,
 ) -> SelectResult:
     """Run one S3 Select request against ``obj``.
 
@@ -103,14 +121,23 @@ def execute_select(
             response payload, shrinking ``bytes_returned`` (and hence
             transfer cost and network/ingest time).  Not offered by the
             real service.
+        memo: the issuing client's :class:`StatementMemo`; a request
+            repeating the last statement skips its parse and checks.
 
     Raises:
         SQLSyntaxError: bad SQL.
         UnsupportedFeatureError: SQL outside the S3 Select dialect.
         ExpressionLimitExceededError: SQL text over ``expression_limit``.
     """
-    query = parser.parse(sql)
-    validate_select_sql(sql, query, expression_limit, allow_group_by=allow_group_by)
+    key = (sql, expression_limit, allow_group_by)
+    last = memo.last if memo is not None else None
+    if last is not None and last[0] == key:
+        query = last[1]
+    else:
+        query = parser.parse(sql)
+        validate_select_sql(sql, query, expression_limit, allow_group_by=allow_group_by)
+        if memo is not None:
+            memo.last = (key, query)
     fmt = obj.metadata.get("format", "csv")
     if fmt == "csv":
         result = _execute_csv(obj, query, scan_range)
@@ -159,16 +186,20 @@ def _iter_range_rows(
     is complete when the range reaches the object boundary, when the
     window ends with the record delimiter, or when the delimiter is the
     very next byte after the window (a range ending exactly on a record
-    boundary must not lose that record).
+    boundary must not lose that record).  A delimiter inside a quoted
+    field is content: the encoder's quotes pair up, so the window's
+    bytes hold an even number of them only when the cut is outside one.
     """
-    keep_trailing = (
-        scan_range.end >= len(obj.data)
-        or window.endswith(b"\n")
+    at_delimiter = (
+        window.endswith(b"\n")
         or obj.data[scan_range.end : scan_range.end + 1] == b"\n"
-    )
+    ) and window.count(b'"') % 2 == 0
+    keep_trailing = scan_range.end >= len(obj.data) or at_delimiter
     header = list(schema.names)
     pending: list[str] | None = None
-    for _, _, record in iter_records_with_offsets(window):
+    # A cut inside a multi-byte character drops it with its record.
+    whole = codecs.getincrementaldecoder("utf-8")().decode(window).encode()
+    for record in iter_records(whole):
         if pending is not None:
             yield schema.parse_row(pending)
         if has_header and record == header:

@@ -109,17 +109,15 @@ def _read_string(sql: str, start: int) -> tuple[Token, int]:
     """Read a single-quoted string literal; ``''`` escapes a quote."""
     i = start + 1
     parts: list[str] = []
-    while i < len(sql):
-        ch = sql[i]
-        if ch == "'":
-            if i + 1 < len(sql) and sql[i + 1] == "'":
-                parts.append("'")
-                i += 2
-                continue
-            return Token(TokenType.STRING, "".join(parts), start), i + 1
-        parts.append(ch)
-        i += 1
-    raise SQLSyntaxError("unterminated string literal", position=start)
+    while True:
+        end = sql.find("'", i)
+        if end < 0:
+            raise SQLSyntaxError("unterminated string literal", position=start)
+        parts.append(sql[i:end])
+        if not sql.startswith("'", end + 1):
+            return Token(TokenType.STRING, "".join(parts), start), end + 1
+        parts.append("'")
+        i = end + 2
 
 
 def _read_number(sql: str, start: int) -> tuple[Token, int]:

@@ -8,7 +8,9 @@ so the encoder can report per-row extents as it writes.
 
 from __future__ import annotations
 
+import csv
 import io
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -85,132 +87,23 @@ def encode_table(
 def iter_records(data: bytes) -> Iterator[list[str]]:
     """Parse CSV bytes into records (lists of string fields).
 
-    Handles RFC-4180 quoting; tolerant of a missing trailing newline.
+    The stdlib reader handles the RFC-4180 quoting the encoder writes
+    and tolerates a missing trailing newline.  An empty line, which is
+    how the encoder writes a one-column NULL row, is one empty field.
+    A bare ``\\r`` outside quotes ends a record; the encoder quotes
+    every field holding one, so its own output never has it.
     """
     text = data.decode()
-    field: list[str] = []
-    record: list[str] = []
-    in_quotes = False
-    i = 0
-    n = len(text)
-    saw_any = False
-    while i < n:
-        ch = text[i]
-        if in_quotes:
-            if ch == QUOTE:
-                if i + 1 < n and text[i + 1] == QUOTE:
-                    field.append(QUOTE)
-                    i += 2
-                    continue
-                in_quotes = False
-                i += 1
-                continue
-            field.append(ch)
-            i += 1
-            continue
-        if ch == QUOTE:
-            in_quotes = True
-            saw_any = True
-            i += 1
-            continue
-        if ch == FIELD_DELIM:
-            record.append("".join(field))
-            field = []
-            saw_any = True
-            i += 1
-            continue
-        if ch == "\n":
-            record.append("".join(field))
-            yield record
-            field, record = [], []
-            saw_any = False
-            i += 1
-            continue
-        if ch == "\r":
-            i += 1
-            continue
-        field.append(ch)
-        saw_any = True
-        i += 1
-    if saw_any or record:
-        record.append("".join(field))
-        yield record
-
-
-def iter_records_with_offsets(data: bytes) -> Iterator[tuple[int, int, list[str]]]:
-    """Like :func:`iter_records` but yields ``(first_byte, last_byte, record)``.
-
-    Offsets are inclusive *byte* positions of the encoded record
-    (including its trailing newline, when present) — the convention the
-    paper's index tables use.  Character positions and byte positions
-    diverge on non-ASCII content, so the scan tracks the UTF-8 width of
-    every consumed character.  Quoting is handled, so embedded delimiters
-    do not split records.
-    """
-    text = data.decode()
-    ascii_only = len(text) == len(data)
-    field: list[str] = []
-    record: list[str] = []
-    in_quotes = False
-    i = 0
-    pos = 0  # byte offset of text[i]
-    n = len(text)
-    start = 0
-    saw_any = False
-
-    def width(ch: str) -> int:
-        return 1 if ascii_only else len(ch.encode())
-
-    while i < n:
-        ch = text[i]
-        if in_quotes:
-            if ch == QUOTE:
-                if i + 1 < n and text[i + 1] == QUOTE:
-                    field.append(QUOTE)
-                    i += 2
-                    pos += 2
-                    continue
-                in_quotes = False
-                i += 1
-                pos += 1
-                continue
-            field.append(ch)
-            i += 1
-            pos += width(ch)
-            continue
-        if ch == QUOTE:
-            in_quotes = True
-            saw_any = True
-            i += 1
-            pos += 1
-            continue
-        if ch == FIELD_DELIM:
-            record.append("".join(field))
-            field = []
-            saw_any = True
-            i += 1
-            pos += 1
-            continue
-        if ch == "\n":
-            record.append("".join(field))
-            yield start, pos, record
-            field, record = [], []
-            saw_any = False
-            i += 1
-            pos += 1
-            start = pos
-            continue
-        if ch == "\r":
-            i += 1
-            pos += 1
-            continue
-        field.append(ch)
-        saw_any = True
-        i += 1
-        pos += width(ch)
-    if saw_any or record:
-        record.append("".join(field))
-        yield start, len(data) - 1, record
+    nul = None
+    if sys.version_info < (3, 11) and "\0" in text:
+        # The reader rejects NUL before Python 3.11: carry it through
+        # as a private-use character the text does not contain.
+        nul = next(c for c in map(chr, range(0xE000, 0xF900)) if c not in text)
+        text = text.replace("\0", nul)
+    for record in csv.reader(io.StringIO(text, newline="")):
+        if nul is not None:
+            record = [field.replace(nul, "\0") for field in record]
+        yield record or [""]
 
 
 def chunk_rows(rows: Iterable[tuple], batch_size: int) -> Iterator[list[tuple]]:

@@ -90,6 +90,7 @@ def scan_partitions(
             request count, not just bytes.
     """
     workers = _resolve_workers(ctx, workers)
+    ctx.client.forget_statement()  # parses are shared within one scan only
 
     def scan_one(index: int, key: str) -> PartitionScan:
         if sql is None:

@@ -45,6 +45,22 @@ class TestBasicTokens:
         with pytest.raises(SQLSyntaxError):
             tokenize("'oops")
 
+    def test_multi_kb_literal_with_escapes(self):
+        body = ("01" * 2000 + "''") * 3 + "1" * 500
+        tokens = tokenize(f"x = '{body}' AND y = 'z'")
+        assert tokens[2] == Token(TokenType.STRING, body.replace("''", "'"), 4)
+        assert [t.value for t in tokens[3:-1]] == ["AND", "y", "=", "z"]
+
+    def test_unterminated_string_reports_its_opening_quote(self):
+        for sql, position in [
+            ("a = 'oops", 4),
+            ("'a' || 'it''s", 7),
+            ("'" + "01" * 3000 + "''", 0),
+        ]:
+            with pytest.raises(SQLSyntaxError) as err:
+                tokenize(sql)
+            assert err.value.position == position
+
     def test_operators(self):
         ops = [v for _, v in kinds("a <= b <> c != d || e % f")]
         assert "<=" in ops and "<>" in ops and "!=" in ops

@@ -16,7 +16,6 @@ from repro.storage.csvcodec import (
     encode_table,
     format_value,
     iter_records,
-    iter_records_with_offsets,
 )
 from repro.storage.object_store import ObjectStore
 from repro.storage.schema import ColumnDef, TableSchema
@@ -105,16 +104,6 @@ class TestCsvCodec:
         for prev, cur in zip(extents, extents[1:]):
             assert cur.first_byte == prev.last_byte + 1
 
-    def test_offsets_iteration_matches_extents(self):
-        rows = [(i, "x" * (i % 5)) for i in range(10)]
-        data, extents = encode_table(rows)
-        offsets = list(iter_records_with_offsets(data))
-        assert len(offsets) == len(extents)
-        for (first, last, _), ext in zip(offsets, extents):
-            assert first == ext.first_byte
-            # iter_records_with_offsets reports the newline-exclusive end
-            assert last <= ext.last_byte
-
     def test_decode_table_roundtrip(self):
         schema = TableSchema.of("a:int", "b:float", "c:str")
         rows = [(1, 2.5, "x,y"), (None, None, None)]
@@ -202,16 +191,6 @@ def test_property_escape_roundtrip_table(rows):
     # Ragged rows are fine at the codec level; only the splitter is under test.
     data = b"".join(encode_row(r) for r in rows)
     assert list(iter_records(data)) == [list(r) for r in rows]
-    # The offset-reporting splitter must agree and produce adjacent,
-    # non-overlapping extents covering the object.
-    offsets = list(iter_records_with_offsets(data))
-    assert [rec for _, _, rec in offsets] == [list(r) for r in rows]
-    position = 0
-    for first, last, _ in offsets:
-        assert first == position
-        assert last >= first
-        position = last + 1
-    assert position == len(data)
 
 
 class TestObjectStore:

@@ -9,12 +9,15 @@ data (NULLs, non-ASCII strings, empty batches, batch_size=1).
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bloom.filter import BloomFilter
 from repro.cloud.context import CloudContext, set_default_pipeline
-from repro.common.errors import CatalogError
+from repro.common.errors import CatalogError, TypeMismatchError
 from repro.engine.batch import Batch
 from repro.engine.operators.base import CpuTally, batches_of, materialize
 from repro.engine.operators.filter import filter_batches
@@ -26,13 +29,17 @@ from repro.engine.operators.topk import top_k, top_k_batches
 from repro.expr.compiler import compile_expr, compile_predicate
 from repro.expr.vector import compile_expr_vector, compile_predicate_vector
 from repro.queries.common import items
+from repro.s3select.engine import ScanRange, execute_select
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_expression
 from repro.storage.csvcodec import (
+    encode_row,
     encode_table,
     iter_decode_batches,
     iter_decode_column_batches,
+    iter_records,
 )
+from repro.storage.object_store import StoredObject
 from repro.storage.schema import TableSchema
 
 # Columns: a int, b int, f float, s str, d date-ish str.
@@ -73,7 +80,21 @@ EXPRESSIONS = [
     "CASE WHEN a > 0 THEN 'pos' WHEN a < 0 THEN 'neg' ELSE 'zero' END",
     "COALESCE(a, b, 0)", "UPPER(s)",
     "1 + 2 * 3", "NULL", "'const'", "a < NULL", "NULL AND a = 1",
+    # SUBSTRING: NULL text/start/length, start <= 0, length 0, negative
+    # length (TypeMismatchError on both paths), non-string text, 2 args.
+    "SUBSTRING(s, a, b)", "SUBSTRING(s, 2, 1)", "SUBSTRING(s, 0, 2)",
+    "SUBSTRING(s, -1, 3)", "SUBSTRING(s, 1, 0)", "SUBSTRING(s, 1, -1)",
+    "SUBSTRING(s, a, NULL)", "SUBSTRING(NULL, a, 1)", "SUBSTRING(s, f, 1)",
+    "SUBSTRING(a, 1, 2)", "SUBSTRING(f, 2)", "SUBSTRING(s, a)",
+    "SUBSTR(d, 1, 4)", "SUBSTRING('0110', a, 1)", "SUBSTRING('0110', a, -1)",
+    "SUBSTRING('0110', a % 4 + 1, 1) = '1'",
 ]
+
+#: The paper's Bloom probe over ``a`` (random keys, NULLs in the data).
+BLOOM_SQL = BloomFilter.build(
+    random.Random(7).sample(range(-50, 51), 20), 0.05, seed=7
+).to_sql_predicate("a")
+EXPRESSIONS.append(pytest.param(BLOOM_SQL, id="bloom-probe"))
 
 
 def assert_same_values(got, want):
@@ -106,7 +127,11 @@ class TestExpressionKernels:
         assert vec_fn(Batch.from_rows([], num_columns=5)) == []
 
     @pytest.mark.parametrize(
-        "sql", ["a = 1", "s LIKE 'a%'", "a IN (1, NULL)", "a = 1 OR b = 1"]
+        "sql",
+        [
+            "a = 1", "s LIKE 'a%'", "a IN (1, NULL)", "a = 1 OR b = 1",
+            pytest.param(BLOOM_SQL, id="bloom-probe"),
+        ],
     )
     @settings(max_examples=20, deadline=None)
     @given(rows=rows_strategy)
@@ -128,6 +153,22 @@ class TestExpressionKernels:
             assert_same_values(
                 vec_fn(Batch.from_rows([row])), [row_fn(row)]
             )
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SUBSTRING(s, 1, -1)", "SUBSTRING(s, a, b)",
+            "SUBSTRING('0110', a, -1)", "CAST(f AS int)",
+        ],
+    )
+    def test_type_mismatch_raises_on_both_paths(self, sql):
+        """Negative SUBSTRING lengths; a NaN off the all-number CAST path."""
+        rows = [(1, -2, float("nan"), "abc", None)]
+        expr = parse_expression(sql)
+        with pytest.raises(TypeMismatchError):
+            compile_expr(expr, SCHEMA)(rows[0])
+        with pytest.raises(TypeMismatchError):
+            compile_expr_vector(expr, SCHEMA)(Batch.from_rows(rows))
 
     def test_mixed_type_batch_falls_back_row_wise(self):
         # Row-wise OR short-circuits past the bad value; the vectorized
@@ -248,6 +289,42 @@ class TestColumnarDecode:
             ]
             assert got == want
 
+    def test_empty_line_is_one_null_field(self):
+        schema = TableSchema.of("s:str")
+        rows = [(None,), ("x",), (None,), (None,)]
+        data, _ = encode_table(rows)
+        assert data == b"\nx\n\n\n"
+        assert list(iter_records(data)) == [[""], ["x"], [""], [""]]
+        columnar = iter_decode_column_batches(data, schema, has_header=False)
+        assert [r for b in columnar for r in b.to_rows()] == rows
+        row_wise = iter_decode_batches(data, schema, has_header=False)
+        assert [r for b in row_wise for r in b] == rows
+
+    def test_scan_range_cut_inside_quoted_field(self):
+        """ScanRange windows parse row-wise, full objects columnar: every
+        cut, including ones inside a quoted field that holds the record
+        delimiter or inside a multi-byte character, returns the records
+        whose delimiter it reaches."""
+        rows = [(1, 1.5, "a,\nb", "1995-01-01"), (2, None, 'say "hi"\n', None),
+                (3, -2.0, "\n,\n", "1996-02-03"), (4, 0.5, "üz", None)]
+        data, extents = encode_table(rows)
+        spec = [f"{c.name}:{c.type}" for c in self.SCHEMA.columns]
+        obj = StoredObject(data, {"format": "csv", "schema": spec, "header": False})
+        sql = "SELECT * FROM S3Object"
+        assert execute_select(obj, sql).rows == rows
+        for cut in range(1, len(data) + 1):
+            window = execute_select(obj, sql, scan_range=ScanRange(0, cut))
+            want = [r for r, e in zip(rows, extents) if e.last_byte <= cut]
+            assert window.rows == want, cut
+
+    def test_bare_carriage_return_ends_a_record(self):
+        """The one divergence from the former hand parser, which dropped
+        a bare CR outside quotes: the stdlib reader ends the record.  The
+        encoder quotes any field holding a CR, so its output round-trips."""
+        assert list(iter_records(b"a\rb,c\n")) == [["a"], ["b", "c"]]
+        assert encode_row(["a\rb", "c"]) == b'"a\rb",c\n'
+        assert list(iter_records(encode_row(["a\rb", "c"]))) == [["a\rb", "c"]]
+
     def test_bad_field_count_raises_catalog_error(self):
         data, _ = encode_table(self.ROWS)
         lines = data.decode("utf-8").splitlines()
@@ -330,3 +407,28 @@ class TestOperatorTimes:
         assert "time" in report and "rows/s" in report
         # ...but the details dict never leaks into the explain() extras.
         assert "operator_times" not in execution.explain()
+
+    def test_bloom_probe_requests_timed_on_the_probe_scan(self):
+        """A streamed join opens its Bloom probe scan, which sends every
+        partition request at once: that wait is the scan's, not the join's."""
+        from repro.planner.database import PushdownDB
+        from repro.workloads.synthetic import SNOWFLAKE_SCHEMAS, snowflake_tables
+
+        db = PushdownDB()
+        tables = snowflake_tables(fact_rows=200, seed=3)
+        for name in ("sub1", "dim1"):
+            db.load_table(name, tables[name], SNOWFLAKE_SCHEMAS[name], partitions=2)
+        delay = 0.02
+        db.ctx.client.request_delay = delay
+        execution = db.execute(
+            "SELECT COUNT(*) AS n FROM sub1, dim1"
+            " WHERE s1_id = d1_s1 AND s1_attr < 40"
+        )
+        times = {
+            r["node"].split(" [")[0]: r for r in execution.details["operator_times"]
+        }
+        probe, join = times["scan dim1"], times["hash-join"]
+        assert "bloom" in probe["node"] and "streamed" in join["node"]
+        assert join["rows"]  # rows were built, so the probe SQL carries a Bloom clause
+        assert probe["seconds"] >= 2 * delay  # both partition requests
+        assert join["self_seconds"] < delay
